@@ -71,7 +71,7 @@ use crate::error::Result;
 use crate::flush::Flushable;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -243,7 +243,7 @@ pub struct SchedulerStats {
     /// surplus-worker retirement can never be observed halfway.
     pub blocked_workers: usize,
     /// Readiness-reactor counters, when the pool has instantiated one
-    /// (see [`reactor::Reactor`]); `None` under the thread net backend.
+    /// (see [`reactor::Reactor`]); `None` until a net-layer wait needs it.
     pub reactor: Option<reactor::ReactorStats>,
     /// Per-slot worker counters, indexed by slot.
     pub workers: Vec<WorkerStats>,
@@ -376,62 +376,6 @@ pub fn blocking_region<T>(f: impl FnOnce() -> T) -> T {
 /// once the owning executor has shut down.
 pub fn current_exec() -> Option<Arc<dyn Exec>> {
     with_current(|l| l.exec.clone()).upgrade()
-}
-
-// ---------------------------------------------------------------------------
-// NetBackend: how remote-channel waits block
-// ---------------------------------------------------------------------------
-
-/// How the net layer waits on a socket that isn't ready.
-///
-/// This is a *wait mechanism* choice, not a semantic one: per-channel
-/// FIFO histories — the thing Kahn determinacy lives in — are identical
-/// under both backends (DESIGN.md §5j).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetBackend {
-    /// Block the OS thread, compensated through [`blocking_region`]
-    /// (the paper's shape; today's default).
-    Threads,
-    /// Park the calling fiber on socket readiness via the pool's
-    /// [`reactor::Reactor`]; contexts without a reactor (foreign
-    /// threads, thread/sim executors, non-Linux) fall back per-wait to
-    /// `Threads` behavior.
-    Reactor,
-}
-
-/// Process-wide backend override: 0 = unset (env decides), 1 = threads,
-/// 2 = reactor. See [`set_net_backend`].
-static NET_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// The `KPN_NET_BACKEND` env parse, read once per process.
-static NET_BACKEND_ENV: std::sync::OnceLock<NetBackend> = std::sync::OnceLock::new();
-
-/// The net backend in effect: a [`set_net_backend`] override if present,
-/// else `KPN_NET_BACKEND` (`threads` | `reactor`, default `threads`).
-pub fn net_backend() -> NetBackend {
-    match NET_BACKEND.load(Ordering::Relaxed) {
-        1 => NetBackend::Threads,
-        2 => NetBackend::Reactor,
-        _ => *NET_BACKEND_ENV.get_or_init(|| {
-            match std::env::var("KPN_NET_BACKEND") {
-                Ok(v) if v.trim().eq_ignore_ascii_case("reactor") => NetBackend::Reactor,
-                _ => NetBackend::Threads,
-            }
-        }),
-    }
-}
-
-/// Install (or with `None` clear) a process-wide net-backend override,
-/// outranking `KPN_NET_BACKEND`. Takes effect for transports created
-/// after the call; [`crate::NetworkConfig`]'s `net_backend` builder and
-/// tests drive this.
-pub fn set_net_backend(backend: Option<NetBackend>) {
-    let v = match backend {
-        None => 0,
-        Some(NetBackend::Threads) => 1,
-        Some(NetBackend::Reactor) => 2,
-    };
-    NET_BACKEND.store(v, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------

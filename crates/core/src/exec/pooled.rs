@@ -52,6 +52,10 @@
 //! unscheduled fiber can never masquerade as global quiescence (see
 //! DESIGN.md §5g).
 //!
+//! Once the pool has a reactor, one sleeper sleeps in `epoll_wait` instead
+//! of on the condvar, woken by socket readiness, reactor timers or the
+//! reactor's eventfd (DESIGN.md §5j).
+//!
 //! Every worker keeps relaxed-atomic counters (dispatch sources, steal
 //! traffic, parks); [`Exec::scheduler_stats`] snapshots them without
 //! perturbing the scheduler.
@@ -62,7 +66,7 @@ use super::{
     TaskLocals, WorkerStats, BUCKETS,
 };
 use crate::error::Result;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -221,9 +225,11 @@ struct PoolState {
     workers: usize,
     /// Workers currently inside a `blocking_region`.
     external: usize,
-    /// Workers asleep on `work_cv` (authoritative; `parked_hint` is the
-    /// lock-free shadow producers read).
+    /// Workers asleep on `work_cv` or in the reactor (authoritative;
+    /// `parked_hint` is the lock-free shadow producers read).
     parked: usize,
+    /// One of the `parked` workers (at most one) is in the reactor.
+    in_reactor: bool,
     /// A worker is currently running idle hooks.
     ticking: bool,
     shutdown: bool,
@@ -258,8 +264,8 @@ pub struct PooledExec {
     buckets: [PoolBucket; BUCKETS],
     idle_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
     /// Readiness reactor, created lazily on the first [`Exec::reactor`]
-    /// call (i.e. only when the net layer actually selects the reactor
-    /// backend). `Some(None)` caches "unavailable on this platform".
+    /// call (i.e. only when a net-layer wait on this pool needs it).
+    /// `Some(None)` caches "unavailable on this platform".
     reactor: OnceLock<Option<Arc<reactor::Reactor>>>,
     self_ref: OnceLock<Weak<dyn Exec>>,
     self_pool: OnceLock<Weak<PooledExec>>,
@@ -284,6 +290,7 @@ impl PooledExec {
                 workers: 0,
                 external: 0,
                 parked: 0,
+                in_reactor: false,
                 ticking: false,
                 shutdown: false,
                 injector_pushes: 0,
@@ -465,18 +472,15 @@ impl PooledExec {
             }
             me.note_depth();
         }
-        let notify = !st.injector.is_empty() && st.parked > 0;
-        drop(st);
         if let Some(i) = slot {
             self.slots[i]
                 .stats
                 .injector_pops
                 .fetch_add(taken, Ordering::Relaxed);
         }
-        if notify && self.searching.load(Ordering::SeqCst) == 0 {
-            // Leftover global work and sleeping workers: hand one of them
-            // the remainder.
-            self.work_cv.notify_one();
+        if !st.injector.is_empty() && self.searching.load(Ordering::SeqCst) == 0 {
+            // Leftover global work: hand a sleeping worker the remainder.
+            self.wake_one(st);
         }
         Some(first)
     }
@@ -590,7 +594,7 @@ impl PooledExec {
             drop(st);
             self.busy.fetch_sub(1, Ordering::SeqCst);
             if finished {
-                self.work_cv.notify_all();
+                self.wake_all();
             }
             return;
         }
@@ -648,10 +652,28 @@ impl PooledExec {
             st.injector.push_back(f);
         }
         st.injector_pushes += n;
-        let notify = st.parked > 0;
+        if self.searching.load(Ordering::SeqCst) == 0 {
+            self.wake_one(st);
+        }
+    }
+
+    /// Wake one sleeper after releasing the central lock, preferring the
+    /// condvar so the reactor sleeper keeps watching sockets.
+    fn wake_one(&self, st: MutexGuard<'_, PoolState>) {
+        let (condvar, reactor) = (st.parked > usize::from(st.in_reactor), st.in_reactor);
         drop(st);
-        if notify && self.searching.load(Ordering::SeqCst) == 0 {
+        if condvar {
             self.work_cv.notify_one();
+        } else if let Some(r) = self.reactor_ref().filter(|_| reactor) {
+            r.wake();
+        }
+    }
+
+    /// Wake every sleeper, the reactor sleeper included.
+    fn wake_all(&self) {
+        self.work_cv.notify_all();
+        if let Some(r) = self.reactor_ref() {
+            r.wake();
         }
     }
 
@@ -665,12 +687,7 @@ impl PooledExec {
         if self.parked_hint.load(Ordering::Relaxed) == 0 {
             return; // nobody is asleep (or they are mid-rescan and will see it)
         }
-        let st = self.central.lock();
-        let notify = st.parked > 0;
-        drop(st);
-        if notify {
-            self.work_cv.notify_one();
-        }
+        self.wake_one(self.central.lock());
     }
 
     /// Injector, every deque, every hot slot — the consumer half of the
@@ -705,11 +722,8 @@ impl PooledExec {
                 self.drain_slot_locked(&mut st, i);
             }
             st.workers -= 1;
-            let more =
-                st.parked > 0 && (st.workers - st.external > self.target || !st.injector.is_empty());
-            drop(st);
-            if more {
-                self.work_cv.notify_one();
+            if st.workers - st.external > self.target || !st.injector.is_empty() {
+                self.wake_one(st);
             }
             return true;
         }
@@ -746,47 +760,53 @@ impl PooledExec {
         if let Some(i) = slot {
             self.slots[i].stats.parks.fetch_add(1, Ordering::Relaxed);
         }
-        if quiesce || self.reactor_ref().is_some() {
-            // Keep polling while the pool looks deadlock-candidate so the
-            // monitor ticks even if no event arrives — and whenever a
-            // reactor exists, so sleeping workers keep draining readiness
-            // even if every other worker is pinned in a long fiber.
-            let _ = self.work_cv.wait_for(&mut st, Duration::from_millis(1));
+        // While the pool looks deadlock-candidate, wake every 1 ms so the
+        // monitor ticks even if no event arrives.
+        let tick = quiesce.then_some(Duration::from_millis(1));
+        let mut ready = Vec::new();
+        if let Some(r) = self.reactor_ref().filter(|_| !st.in_reactor) {
+            // Producers that lock after this point wake us through the
+            // reactor's eventfd, which stays signalled until `wait` runs.
+            st.in_reactor = true;
+            drop(st);
+            ready = r.wait(tick);
+            st = self.central.lock();
+            st.in_reactor = false;
+        } else if let Some(t) = tick {
+            let _ = self.work_cv.wait_for(&mut st, t);
         } else {
             self.work_cv.wait(&mut st);
         }
         st.parked -= 1;
         self.parked_hint.fetch_sub(1, Ordering::SeqCst);
+        drop(st);
         if let Some(i) = slot {
             self.slots[i].stats.unparks.fetch_add(1, Ordering::Relaxed);
+        }
+        for key in ready {
+            self.unpark_all(key);
         }
         false
     }
 
-    /// The reactor, if one has been instantiated (only the net layer's
-    /// reactor backend does that, via [`Exec::reactor`]).
+    /// The reactor, if one has been instantiated (only a net-layer wait
+    /// does that, via [`Exec::reactor`]).
     fn reactor_ref(&self) -> Option<&Arc<reactor::Reactor>> {
         self.reactor.get().and_then(|o| o.as_ref())
     }
 
     /// Drain socket readiness and expired timers into the run queues: each
     /// ready park key is an ordinary `unpark_all`. Runs at worker poll
-    /// points only (pre-sleep and the fair tick) and never blocks; the
+    /// points (pre-sleep and the fair tick) and never blocks; the
     /// pre-sleep call sits *before* the quiescence computation and the
     /// Dekker rescan, so readiness observed here becomes visible queued
     /// work and a ready socket can never fake an idle pool.
-    fn poll_reactor(&self) -> bool {
-        let Some(r) = self.reactor_ref() else {
-            return false;
-        };
-        let keys = r.poll();
-        if keys.is_empty() {
-            return false;
+    fn poll_reactor(&self) {
+        if let Some(r) = self.reactor_ref() {
+            for key in r.wait(Some(Duration::ZERO)) {
+                self.unpark_all(key);
+            }
         }
-        for key in keys {
-            self.unpark_all(key);
-        }
-        true
     }
 
     /// Route freshly unparked fibers to a run queue. When the waker is a
@@ -828,10 +848,8 @@ impl PooledExec {
                 }
                 st.injector_pushes += n;
                 st.foreign_unparks += n;
-                let notify = st.parked > 0;
-                drop(st);
-                if notify && self.searching.load(Ordering::SeqCst) == 0 {
-                    self.work_cv.notify_one();
+                if self.searching.load(Ordering::SeqCst) == 0 {
+                    self.wake_one(st);
                 }
             }
         }
@@ -855,13 +873,13 @@ impl Exec for PooledExec {
         if grow {
             st.workers += 1;
         }
-        let notify = st.parked > 0;
-        drop(st);
+        if self.searching.load(Ordering::SeqCst) == 0 {
+            self.wake_one(st);
+        } else {
+            drop(st);
+        }
         if grow {
             self.spawn_worker();
-        }
-        if notify && self.searching.load(Ordering::SeqCst) == 0 {
-            self.work_cv.notify_one();
         }
     }
 
@@ -980,10 +998,8 @@ impl Exec for PooledExec {
             // The compensation worker spawned for this region is now
             // surplus; wake a sleeper so it notices and retires instead of
             // lingering until the next unrelated wakeup.
-            let surplus = st.workers - st.external > self.target && st.parked > 0;
-            drop(st);
-            if surplus {
-                self.work_cv.notify_one();
+            if st.workers - st.external > self.target {
+                self.wake_one(st);
             }
         }
     }
@@ -992,7 +1008,7 @@ impl Exec for PooledExec {
         let mut st = self.central.lock();
         st.shutdown = true;
         drop(st);
-        self.work_cv.notify_all();
+        self.wake_all();
     }
 
     fn scheduler_stats(&self) -> Option<SchedulerStats> {

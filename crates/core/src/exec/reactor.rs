@@ -1,21 +1,21 @@
 //! Socket-readiness reactor for the pooled executor.
 //!
-//! The thread backend maps every blocked remote-channel operation onto a
-//! compensated OS thread (`blocking_region`): correct, but 10k blocked
-//! remote channels cost 10k threads while 10k blocked *local* channels
-//! cost none. This module is the other half of that asymmetry: an
-//! epoll-based readiness queue owned by a [`super::PooledExec`], so a
-//! remote wait can park its *fiber* through the ordinary
-//! `park_token`/`park` protocol and be woken when the socket becomes
-//! readable or writable. Determinacy is untouched — a reactor wakeup is
-//! just an `unpark_all` on the waiter's key, indistinguishable from any
-//! other wake site (DESIGN.md §5j).
+//! A blocked remote-channel operation that holds its OS thread
+//! (`blocking_region`) is correct, but 10k blocked remote channels would
+//! cost 10k threads while 10k blocked *local* channels cost none. This
+//! module removes that asymmetry: an epoll-based readiness queue owned by
+//! a [`super::PooledExec`], so a remote wait can park its *fiber* through
+//! the ordinary `park_token`/`park` protocol and be woken when the socket
+//! becomes readable or writable. Determinacy is untouched — a reactor
+//! wakeup is just an `unpark_all` on the waiter's key, indistinguishable
+//! from any other wake site (DESIGN.md §5j).
 //!
-//! The reactor never blocks and owns no thread. Workers drain it from the
+//! The reactor owns no thread. Workers drain it without blocking from the
 //! scheduler loop (the pre-sleep path and the fair tick), with the same
 //! Dekker rescan discipline that guards the run queues: readiness is
 //! drained *before* quiescence is computed, so a ready socket can never
-//! fake an idle pool.
+//! fake an idle pool. At most one idle worker sleeps *in* the reactor
+//! ([`Reactor::wait`]), woken through an `eventfd` ([`Reactor::wake`]).
 //!
 //! Events are armed `EPOLLONESHOT` with the waiter's park key in the
 //! event's data word. One-shot arming makes the wakeup protocol
@@ -28,15 +28,13 @@
 //!
 //! Everything is `#[cfg]`-gated to Linux/x86_64 outside Miri — the same
 //! gate as the fiber context switch. Elsewhere [`Reactor::new`] returns
-//! `None` and the net layer stays on the thread backend.
+//! `None` and every net-layer wait blocks its thread.
 
 /// Cumulative reactor counters, surfaced through
 /// [`super::SchedulerStats::reactor`] and from there through
 /// `MonitorStats` (maintained with relaxed atomics; observation only).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorStats {
-    /// File descriptors ever attached to the epoll set.
-    pub registrations: u64,
     /// File descriptors attached at snapshot time.
     pub current_registered: usize,
     /// Park keys woken by socket readiness (real progress signals: data,
@@ -47,12 +45,6 @@ pub struct ReactorStats {
     /// Park keys woken by timer expiry (idle-poll deadlines; *not*
     /// progress — a deadlocked endpoint re-arms these forever).
     pub timer_wakeups: u64,
-    /// Times the reactor was polled.
-    pub polls: u64,
-    /// Polls that found no ready key (neither fd nor timer).
-    pub spurious_polls: u64,
-    /// Deepest ready batch a single poll returned.
-    pub max_poll_batch: u64,
 }
 
 /// Readiness direction for [`Reactor::arm`] / [`poll_fd`].
@@ -71,7 +63,7 @@ mod imp {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     use std::io;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -80,13 +72,18 @@ mod imp {
     mod sys {
         use std::arch::asm;
 
+        pub const SYS_READ: usize = 0;
+        pub const SYS_WRITE: usize = 1;
         pub const SYS_POLL: usize = 7;
         pub const SYS_CLOSE: usize = 3;
         pub const SYS_EPOLL_WAIT: usize = 232;
         pub const SYS_EPOLL_CTL: usize = 233;
+        pub const SYS_EVENTFD2: usize = 290;
         pub const SYS_EPOLL_CREATE1: usize = 291;
 
         pub const EPOLL_CLOEXEC: usize = 0x80000;
+        pub const EFD_CLOEXEC: usize = 0x80000;
+        pub const EFD_NONBLOCK: usize = 0x800;
         pub const EPOLL_CTL_ADD: usize = 1;
         pub const EPOLL_CTL_DEL: usize = 2;
         pub const EPOLL_CTL_MOD: usize = 3;
@@ -139,22 +136,25 @@ mod imp {
         }
     }
 
+    /// Epoll data word of the wake eventfd (park keys are addresses).
+    const WAKE_KEY: u64 = u64::MAX;
+
     /// The epoll instance plus a timer heap, owned by one `PooledExec`.
     pub struct Reactor {
         epfd: i32,
-        /// Fds currently attached (drives the workers' sleep mode: any
-        /// registration switches indefinite sleeps to 1 ms polling naps).
+        /// Level-triggered eventfd in the epoll set; see [`Reactor::wake`].
+        wakefd: i32,
+        /// A blocking [`Reactor::wait`] is in progress.
+        sleeping: AtomicBool,
+        /// Fds currently attached (lets a non-blocking poll skip the
+        /// syscall when nothing is registered).
         attached: AtomicUsize,
         /// Pending wake deadlines, min-first. Lazy: entries are never
         /// cancelled; an expired entry for a waiter that already resumed
         /// is a spurious `unpark_all` on a stale generation.
         timers: Mutex<BinaryHeap<Reverse<(Instant, usize)>>>,
-        registrations: AtomicU64,
         wakeups: AtomicU64,
         timer_wakeups: AtomicU64,
-        polls: AtomicU64,
-        spurious_polls: AtomicU64,
-        max_poll_batch: AtomicU64,
     }
 
     // The epoll fd is used from any worker; all syscalls on it are
@@ -164,24 +164,25 @@ mod imp {
 
     impl Reactor {
         /// Create a reactor, or `None` if the kernel refuses an epoll
-        /// instance (the caller falls back to the thread backend).
+        /// instance or eventfd (net waits then block their threads).
         pub fn new() -> Option<Arc<Reactor>> {
-            let epfd =
-                unsafe { sys::syscall4(sys::SYS_EPOLL_CREATE1, sys::EPOLL_CLOEXEC, 0, 0, 0) };
-            if epfd < 0 {
-                return None;
-            }
-            Some(Arc::new(Reactor {
-                epfd: epfd as i32,
+            let ep = unsafe { sys::syscall4(sys::SYS_EPOLL_CREATE1, sys::EPOLL_CLOEXEC, 0, 0, 0) };
+            let efd_flags = sys::EFD_CLOEXEC | sys::EFD_NONBLOCK;
+            let wakefd = unsafe { sys::syscall4(sys::SYS_EVENTFD2, 0, efd_flags, 0, 0) };
+            let reactor = Reactor {
+                epfd: ep as i32,
+                wakefd: wakefd as i32,
+                sleeping: AtomicBool::new(false),
                 attached: AtomicUsize::new(0),
                 timers: Mutex::new(BinaryHeap::new()),
-                registrations: AtomicU64::new(0),
                 wakeups: AtomicU64::new(0),
                 timer_wakeups: AtomicU64::new(0),
-                polls: AtomicU64::new(0),
-                spurious_polls: AtomicU64::new(0),
-                max_poll_batch: AtomicU64::new(0),
-            }))
+            };
+            // On failure `reactor` drops, closing whatever was opened.
+            let ok = ep >= 0
+                && wakefd >= 0
+                && reactor.ctl(sys::EPOLL_CTL_ADD, reactor.wakefd, sys::EPOLLIN, WAKE_KEY) >= 0;
+            ok.then(|| Arc::new(reactor))
         }
 
         fn ctl(&self, op: usize, fd: i32, events: u32, data: u64) -> isize {
@@ -204,7 +205,6 @@ mod imp {
                 return Err(io::Error::from_raw_os_error(-r as i32));
             }
             self.attached.fetch_add(1, Ordering::Relaxed);
-            self.registrations.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
 
@@ -233,7 +233,6 @@ mod imp {
                 r = self.ctl(sys::EPOLL_CTL_ADD, fd, events, key as u64);
                 if r >= 0 {
                     self.attached.fetch_add(1, Ordering::Relaxed);
-                    self.registrations.fetch_add(1, Ordering::Relaxed);
                 }
             }
             if r < 0 {
@@ -242,42 +241,67 @@ mod imp {
             Ok(())
         }
 
-        /// Arrange for `unpark_all(key)` no earlier than `deadline`.
+        /// Arrange for `unpark_all(key)` no earlier than `deadline`. A new
+        /// earliest deadline wakes a sleeping [`Reactor::wait`] to re-arm.
         pub fn add_timer(&self, deadline: Instant, key: usize) {
-            self.timers.lock().push(Reverse((deadline, key)));
+            let mut timers = self.timers.lock();
+            timers.push(Reverse((deadline, key)));
+            let earliest = timers.peek() == Some(&Reverse((deadline, key)));
+            drop(timers);
+            if earliest && self.sleeping.load(Ordering::SeqCst) {
+                self.wake();
+            }
         }
 
-        /// True when any fd or timer is outstanding: workers must keep
-        /// polling (1 ms naps) rather than sleep indefinitely.
-        pub fn has_work(&self) -> bool {
-            self.attached.load(Ordering::Relaxed) > 0 || !self.timers.lock().is_empty()
+        /// End the [`Reactor::wait`] in progress, or the next one to start.
+        pub fn wake(&self) {
+            self.wakefd_io(sys::SYS_WRITE);
         }
 
-        /// Drain ready events and expired timers without blocking,
-        /// returning the park keys to wake. Runs on whichever worker hits
-        /// the scheduler's poll points; never blocks.
-        pub fn poll(&self) -> Vec<usize> {
+        /// Add 1 to (`SYS_WRITE`) or reset (`SYS_READ`) the eventfd.
+        fn wakefd_io(&self, nr: usize) {
+            let mut v: u64 = 1;
+            let buf = std::ptr::addr_of_mut!(v) as usize;
+            unsafe { sys::syscall4(nr, self.wakefd as usize, buf, 8, 0) };
+        }
+
+        /// Wait for socket readiness, the earliest timer, [`Reactor::wake`]
+        /// or `timeout` (`None`: unbounded) and return the park keys to
+        /// wake. A zero timeout never blocks and may run anywhere; at most
+        /// one blocking waiter runs at a time, and only it resets the
+        /// eventfd (a poll that swallowed its wake would strand it).
+        pub fn wait(&self, timeout: Option<Duration>) -> Vec<usize> {
             let mut keys = Vec::new();
-            self.polls.fetch_add(1, Ordering::Relaxed);
-            if self.attached.load(Ordering::Relaxed) > 0 {
+            let blocking = timeout != Some(Duration::ZERO);
+            if blocking {
+                // Before the heap read, pairing with the load in `add_timer`:
+                // either it sees us sleeping or we see its timer.
+                self.sleeping.store(true, Ordering::SeqCst);
+            }
+            if blocking || self.attached.load(Ordering::Relaxed) > 0 {
+                let now = Instant::now();
+                let next = self.timers.lock().peek().map(|t| t.0 .0.saturating_duration_since(now));
+                let ms = match timeout.into_iter().chain(next).min() {
+                    None => -1isize as usize, // the kernel reads an int: -1 = no timeout
+                    // Round up, so a sub-millisecond deadline cannot spin.
+                    Some(d) => d.as_micros().div_ceil(1000).min(i32::MAX as u128) as usize,
+                };
                 const BATCH: usize = 64;
                 let mut events = [sys::EpollEvent { events: 0, data: 0 }; BATCH];
-                let n = unsafe {
-                    sys::syscall4(
-                        sys::SYS_EPOLL_WAIT,
-                        self.epfd as usize,
-                        events.as_mut_ptr() as usize,
-                        BATCH,
-                        0, // timeout: never block a worker here
-                    )
-                };
-                if n > 0 {
-                    for ev in events.iter().take(n as usize) {
-                        keys.push(ev.data as usize);
+                let ptr = events.as_mut_ptr() as usize;
+                let epfd = self.epfd as usize;
+                let n = unsafe { sys::syscall4(sys::SYS_EPOLL_WAIT, epfd, ptr, BATCH, ms) };
+                for ev in events.iter().take(n.max(0) as usize) {
+                    match ev.data {
+                        WAKE_KEY if blocking => self.wakefd_io(sys::SYS_READ),
+                        WAKE_KEY => {}
+                        key => keys.push(key as usize),
                     }
-                    self.wakeups.fetch_add(n as u64, Ordering::Relaxed);
-                    self.max_poll_batch.fetch_max(n as u64, Ordering::Relaxed);
                 }
+                self.wakeups.fetch_add(keys.len() as u64, Ordering::Relaxed);
+            }
+            if blocking {
+                self.sleeping.store(false, Ordering::Relaxed);
             }
             let fd_ready = keys.len();
             {
@@ -293,30 +317,23 @@ mod imp {
                 self.timer_wakeups
                     .fetch_add((keys.len() - fd_ready) as u64, Ordering::Relaxed);
             }
-            if keys.is_empty() {
-                self.spurious_polls.fetch_add(1, Ordering::Relaxed);
-            }
             keys
         }
 
         /// Snapshot the counters.
         pub fn stats(&self) -> ReactorStats {
             ReactorStats {
-                registrations: self.registrations.load(Ordering::Relaxed),
                 current_registered: self.attached.load(Ordering::Relaxed),
                 wakeups: self.wakeups.load(Ordering::Relaxed),
                 timer_wakeups: self.timer_wakeups.load(Ordering::Relaxed),
-                polls: self.polls.load(Ordering::Relaxed),
-                spurious_polls: self.spurious_polls.load(Ordering::Relaxed),
-                max_poll_batch: self.max_poll_batch.load(Ordering::Relaxed),
             }
         }
     }
 
     impl Drop for Reactor {
         fn drop(&mut self) {
-            unsafe {
-                sys::syscall4(sys::SYS_CLOSE, self.epfd as usize, 0, 0, 0);
+            for fd in [self.wakefd, self.epfd] {
+                unsafe { sys::syscall4(sys::SYS_CLOSE, fd as usize, 0, 0, 0) };
             }
         }
     }
@@ -382,20 +399,20 @@ mod imp {
             let r = Reactor::new().expect("epoll available on linux");
             let (mut w, rd) = pair();
             r.attach(rd.as_raw_fd()).unwrap();
-            assert!(r.poll().is_empty(), "disarmed fd must not fire");
+            assert!(r.wait(Some(Duration::ZERO)).is_empty(), "disarmed fd must not fire");
             r.arm(rd.as_raw_fd(), 0x1234, Interest::Read).unwrap();
-            assert!(r.poll().is_empty(), "no data yet");
+            assert!(r.wait(Some(Duration::ZERO)).is_empty(), "no data yet");
             w.write_all(b"x").unwrap();
             w.flush().unwrap();
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             let mut got = Vec::new();
             while got.is_empty() && std::time::Instant::now() < deadline {
-                got = r.poll();
+                got = r.wait(Some(Duration::ZERO));
                 std::thread::sleep(Duration::from_millis(1));
             }
             assert_eq!(got, vec![0x1234]);
             // One-shot: without re-arming the event must not re-fire.
-            assert!(r.poll().is_empty());
+            assert!(r.wait(Some(Duration::ZERO)).is_empty());
             r.detach(rd.as_raw_fd());
             assert_eq!(r.stats().current_registered, 0);
         }
@@ -406,15 +423,39 @@ mod imp {
             let now = Instant::now();
             r.add_timer(now + Duration::from_millis(30), 2);
             r.add_timer(now + Duration::from_millis(5), 1);
-            assert!(r.has_work());
             std::thread::sleep(Duration::from_millis(10));
-            assert_eq!(r.poll(), vec![1]);
+            assert_eq!(r.wait(Some(Duration::ZERO)), vec![1]);
             std::thread::sleep(Duration::from_millis(25));
-            assert_eq!(r.poll(), vec![2]);
-            assert!(!r.has_work());
+            assert_eq!(r.wait(Some(Duration::ZERO)), vec![2]);
             let s = r.stats();
             assert_eq!(s.timer_wakeups, 2);
-            assert!(s.polls >= 2);
+        }
+
+        #[test]
+        fn blocked_wait_returns_promptly_after_wake_or_earlier_timer() {
+            let r = Reactor::new().unwrap();
+            let sleeper = || std::thread::spawn({
+                let r = r.clone();
+                move || (r.wait(None), Instant::now())
+            });
+            let t = sleeper();
+            std::thread::sleep(Duration::from_millis(50));
+            let woke_at = Instant::now();
+            r.wake();
+            let (keys, returned_at) = t.join().unwrap();
+            assert!(keys.is_empty() && returned_at - woke_at < Duration::from_millis(500));
+            // The sleeper reset the eventfd, so the next blocking wait lasts
+            // its full timeout instead of returning at once.
+            let t0 = Instant::now();
+            assert!(r.wait(Some(Duration::from_millis(30))).is_empty());
+            assert!(t0.elapsed() >= Duration::from_millis(25), "eventfd left set");
+            // A timer pushed while the next waiter sleeps ends that sleep
+            // (directly, or via its wake).
+            let t = sleeper();
+            std::thread::sleep(Duration::from_millis(20));
+            r.add_timer(Instant::now(), 7);
+            let keys = Some(t.join().unwrap().0).filter(|k| !k.is_empty());
+            assert_eq!(keys.unwrap_or_else(|| r.wait(None)), vec![7]);
         }
 
         #[test]
@@ -441,9 +482,9 @@ mod imp {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// Stub reactor for platforms without the epoll backend (and Miri):
-    /// [`Reactor::new`] yields `None`, so no instance ever exists and the
-    /// net layer keeps today's thread-backend behavior.
+    /// Stub reactor for platforms without epoll (and Miri):
+    /// [`Reactor::new`] yields `None`, so no instance ever exists and every
+    /// net-layer wait blocks its thread.
     #[derive(Debug)]
     pub struct Reactor {
         _never: std::convert::Infallible,
@@ -476,12 +517,12 @@ mod imp {
         }
 
         /// Unreachable (no instance can exist).
-        pub fn has_work(&self) -> bool {
+        pub fn wake(&self) {
             match self._never {}
         }
 
         /// Unreachable (no instance can exist).
-        pub fn poll(&self) -> Vec<usize> {
+        pub fn wait(&self, _timeout: Option<Duration>) -> Vec<usize> {
             match self._never {}
         }
 
@@ -492,9 +533,8 @@ mod imp {
     }
 
     /// Readiness waits degrade to "assume ready" off-Linux; the caller's
-    /// subsequent blocking I/O provides the actual wait. Only reachable
-    /// if a caller opts into readiness waits without a reactor, which the
-    /// net layer never does off-Linux.
+    /// subsequent blocking I/O provides the actual wait. The net layer
+    /// never makes readiness waits off-Linux.
     pub fn poll_fd(_fd: i32, _interest: Interest, _timeout: Option<Duration>) -> io::Result<bool> {
         Ok(true)
     }

@@ -79,8 +79,7 @@ pub use channel::{
 pub use error::{Error, Result};
 pub use exec::reactor::ReactorStats;
 pub use exec::{
-    blocking_region, Exec, ExecMode, NetBackend, PooledExec, SchedulerStats, ThreadExec,
-    WorkerStats,
+    blocking_region, Exec, ExecMode, PooledExec, SchedulerStats, ThreadExec, WorkerStats,
 };
 pub use monitor::{
     BlockKind, ChannelIoStats, DeadlockPolicy, ExternalBlockGuard, Monitor, MonitorSnapshot,

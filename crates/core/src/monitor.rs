@@ -25,7 +25,7 @@
 use crate::error::{Error, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// Default for [`MonitorTiming::tick`].
@@ -33,6 +33,13 @@ pub(crate) const MONITOR_TICK: Duration = Duration::from_millis(20);
 
 /// Default for [`MonitorTiming::settle`].
 const SETTLE: Duration = Duration::from_millis(2);
+
+/// `KPN_MONITOR_DEBUG` tracing, read once per process: the trace sites sit
+/// under the network-wide monitor mutex on every block and unblock.
+fn debug_enabled() -> bool {
+    static DEBUG: OnceLock<bool> = OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var_os("KPN_MONITOR_DEBUG").is_some())
+}
 
 /// The monitor's two timing knobs, injectable per network via
 /// [`crate::NetworkConfig::monitor_timing`]. The defaults favour low
@@ -482,7 +489,7 @@ impl Monitor {
                 },
             );
             debug_assert!(prev.is_none(), "thread blocked twice");
-            if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+            if debug_enabled() {
                 eprintln!(
                     "[monitor] enter token={token} chan={chan} kind={kind:?} gen={}",
                     st.generation + 1
@@ -523,7 +530,7 @@ impl Monitor {
                 st.blocked_processes -= 1;
             }
             st.generation += 1;
-            if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+            if debug_enabled() {
                 eprintln!(
                     "[monitor] exit token={token} chan={} gen={}",
                     info.chan, st.generation
@@ -702,7 +709,7 @@ impl Monitor {
                     (DeadlockPolicy::Grow { .. }, false) | (DeadlockPolicy::Abort, _)
                         if Self::verify_blocked_semantics(&st) =>
                     {
-                        if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+                        if debug_enabled() {
                             let occupancy: Vec<(u64, usize)> = st
                                 .channels
                                 .iter()
@@ -732,7 +739,7 @@ impl Monitor {
         match act {
             Act::None => {}
             Act::Grow(id, ch, max) => {
-                if std::env::var_os("KPN_MONITOR_DEBUG").is_some() {
+                if debug_enabled() {
                     let st = self.state.lock();
                     let chans: Vec<(u64, usize, usize, bool, bool)> = st
                         .channels

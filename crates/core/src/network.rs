@@ -42,12 +42,6 @@ pub struct NetworkConfig {
     /// `KPN_LINT` environment variable (see [`LintLevel::from_env`];
     /// unset means [`LintLevel::Warn`]).
     pub lint: LintLevel,
-    /// How the net layer waits on sockets for this process: `None` leaves
-    /// the ambient choice (`KPN_NET_BACKEND` or a prior override) alone;
-    /// `Some` installs a process-wide override at network construction
-    /// (see [`crate::exec::set_net_backend`] — the backend is resolved
-    /// per transport, so it is inherently process-global state).
-    pub net_backend: Option<crate::exec::NetBackend>,
     /// Apply statically synthesized channel capacities at start: the lint
     /// pass's [`crate::Fix::SetCapacity`] suggestions (L003 cycle sums,
     /// and L006 SDF schedule bounds when `kpn-lint`'s pass is installed)
@@ -69,7 +63,6 @@ impl Default for NetworkConfig {
             mode: ExecMode::default(),
             record_history: false,
             lint: LintLevel::default(),
-            net_backend: None,
             synthesize_capacities: std::env::var_os("KPN_SYNTH").is_some_and(|v| v != "0"),
         }
     }
@@ -82,17 +75,6 @@ impl NetworkConfig {
     /// only shape the [`Default`] mode.
     pub fn workers(mut self, n: usize) -> Self {
         self.mode = ExecMode::Pooled { workers: n };
-        self
-    }
-
-    /// Select how remote-channel waits block for networks in this process
-    /// (installed at construction; outranks `KPN_NET_BACKEND`). The
-    /// reactor backend parks fibers on socket readiness instead of
-    /// spending a compensated OS thread per blocked remote channel; it
-    /// takes effect on executors that own a reactor ([`crate::PooledExec`]
-    /// on Linux/x86_64) and falls back to thread blocking elsewhere.
-    pub fn net_backend(mut self, backend: crate::exec::NetBackend) -> Self {
-        self.net_backend = Some(backend);
         self
     }
 
@@ -344,9 +326,6 @@ impl Network {
 
     /// A network with an explicit configuration.
     pub fn with_config(config: NetworkConfig) -> Self {
-        if let Some(backend) = config.net_backend {
-            crate::exec::set_net_backend(Some(backend));
-        }
         // Under sim the monitor needs no settling delay: only one task
         // executes at a time, so no concurrent activity can race a
         // deadlock verdict. Its tick also runs from the scheduler's idle

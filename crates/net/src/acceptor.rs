@@ -58,9 +58,9 @@ pub(crate) struct PendingConn {
 
 impl PendingConn {
     /// Waits for the data connection (`timeout` of `None` waits forever,
-    /// until the registration is dropped). Parks the calling fiber on the
-    /// reactor backend; otherwise blocks the thread the way the plain
-    /// `rx.recv()` path always has (compensated when unbounded).
+    /// until the registration is dropped). Parks the calling fiber when its
+    /// executor owns a reactor; otherwise blocks the thread on
+    /// `rx.recv()` (compensated when unbounded).
     pub(crate) fn recv_wait(
         &self,
         timeout: Option<Duration>,
@@ -289,6 +289,15 @@ impl Acceptor {
                 }
             }
             _ => {} // unknown connection type: drop
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        // Else the accept loop keeps its thread and fd until a connection.
+        if !self.state.get_mut().closed {
+            self.close();
         }
     }
 }

@@ -48,7 +48,7 @@ pub struct NetworkStatus {
     #[serde(default)]
     pub recovery_attempts: u64,
     /// Socket-readiness wakeups delivered by the executor's reactor
-    /// (event-driven net backend; 0 under the thread backend). A
+    /// (0 when no network runs on a reactor-owning executor). A
     /// reactor-parked channel reports no generation movement while it
     /// waits, but a *delivery* to one is progress exactly like a TCP
     /// receive waking a thread-blocked reader — so this gauge joins the

@@ -578,8 +578,8 @@ impl SinkCore {
         // no compensation. A blocking transport holds an OS thread, not
         // just a task: tell the executor so a pooled worker is compensated
         // for while we sit in `read`. (`conn == None` means the first step
-        // goes straight to `recover`, whose fresh transport matches the
-        // backend — decide by the backend in that case.)
+        // goes straight to `recover`, whose fresh transport parks exactly
+        // when this task can — decide by that in that case.)
         let event_driven = match self.conn.as_ref() {
             Some(c) => c.get_ref().is_event_driven(),
             None => crate::rio::parking_context().is_some(),
@@ -1389,9 +1389,10 @@ impl Source for PendingSource {
     fn read(&mut self, _buf: &mut [u8]) -> Result<SourceRead> {
         // Waiting for a connection is a blocking read: flush first so the
         // peer (who may need our buffered output to make progress before
-        // connecting back) can proceed. `recv_wait` parks the fiber on the
-        // reactor backend; otherwise it blocks inside a blocking region so
-        // a pooled executor keeps its worker count whole.
+        // connecting back) can proceed. `recv_wait` parks the fiber when
+        // the executor owns a reactor; otherwise it blocks inside a
+        // blocking region so a pooled executor keeps its worker count
+        // whole.
         kpn_core::flush::flush_before_block();
         match self.pending.recv_wait(None) {
             Ok(transport) => {

@@ -1,21 +1,22 @@
-//! Reactor-backed I/O: the event-driven net backend's transport wrapper.
+//! Reactor-backed I/O: the net layer's one socket wait path.
 //!
-//! Under the thread backend every blocked remote-channel operation pins a
-//! compensated OS thread inside `blocking_region` — 10k blocked remote
-//! channels cost 10k threads. [`ReactorIo`] removes that cost: it puts
-//! the socket in permanent non-blocking mode and emulates blocking
-//! semantics *internally* — an operation that would block parks the
-//! calling fiber through the ordinary `Exec::park_token`/`park` protocol
-//! with interest registered on the pool's
-//! [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when the
-//! worker loop drains the readiness queue and unparks it.
+//! A blocked remote-channel operation that held its OS thread inside
+//! `blocking_region` would make 10k blocked remote channels cost 10k
+//! threads. [`ReactorIo`] wraps every socket transport (on Linux x86_64)
+//! to remove that cost: it puts the socket in permanent non-blocking mode
+//! and emulates blocking semantics *internally* — an operation that would
+//! block parks the calling fiber through the ordinary
+//! `Exec::park_token`/`park` protocol with interest registered on the
+//! pool's [`Reactor`](kpn_core::exec::reactor::Reactor), and retries when
+//! the worker sleeping in the reactor (or a worker's poll) unparks it.
 //!
 //! Because blocking semantics are preserved at the [`Transport`] surface
 //! (complete reads/writes or a synthesized `TimedOut`, exactly what a
 //! kernel op timeout yields), everything above — `BufReader`/`BufWriter`
 //! framing, the ack parser, the reconnection state machines, and
 //! [`FaultyTransport`](crate::transport::FaultyTransport) fault schedules
-//! wrapped *underneath* this layer — runs unchanged under both backends.
+//! wrapped *underneath* this layer — runs unchanged whether a wait parks a
+//! fiber or blocks a thread.
 //!
 //! ## The lost-wakeup ordering
 //!
@@ -32,29 +33,25 @@
 //! Contexts that cannot park a fiber — foreign threads (the sink linger
 //! thread), thread/sim executors, a pool whose reactor failed to
 //! initialize — fall back per-wait to `poll(2)` under `blocking_region`,
-//! which is precisely the thread backend's cost model.
+//! holding their OS thread for the wait.
 
 use crate::transport::Transport;
 use kpn_core::exec::reactor::Reactor;
-use kpn_core::{Exec, NetBackend};
+use kpn_core::Exec;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The executor and reactor to park through, when — and only when — the
-/// reactor backend is selected *and* the current task runs on an executor
-/// that owns a reactor. `None` means "behave like the thread backend for
-/// this wait".
+/// The executor and reactor to park through, when the current task runs
+/// on an executor that owns a reactor. `None` means "block this thread
+/// for the wait".
 pub(crate) fn parking_context() -> Option<(Arc<dyn Exec>, Arc<Reactor>)> {
-    if kpn_core::exec::net_backend() != NetBackend::Reactor {
-        return None;
-    }
     let exec = kpn_core::exec::current_exec()?;
     let reactor = exec.reactor()?;
     Some((exec, reactor))
 }
 
 /// Fiber-aware sleep: parks the calling fiber on a reactor timer when
-/// reactor parking is active (so 1k concurrently backing-off writers do
+/// the executor owns a reactor (so 1k concurrently backing-off writers do
 /// not spawn 1k compensation threads), else a plain thread sleep.
 pub(crate) fn sleep(d: Duration) {
     if d.is_zero() {
@@ -78,10 +75,10 @@ pub(crate) fn sleep(d: Duration) {
     }
 }
 
-/// Wrap `t` in a [`ReactorIo`] when the reactor backend is selected and
-/// the transport is socket-backed; otherwise return it unchanged. The
-/// wrapper goes *outside* any [`FaultyTransport`] so seeded chaos
-/// schedules keep stepping on every attempt under both backends.
+/// Wrap `t` in a [`ReactorIo`] when the transport is socket-backed;
+/// otherwise (or off Linux x86_64) return it unchanged. The wrapper goes
+/// *outside* any [`FaultyTransport`] so seeded chaos schedules step on
+/// every attempt whether the wait parks a fiber or blocks a thread.
 pub(crate) fn maybe_wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     {
@@ -99,7 +96,6 @@ mod imp {
     use crate::transport::Transport;
     use kpn_core::blocking_region;
     use kpn_core::exec::reactor::{poll_fd, Interest, Reactor};
-    use kpn_core::NetBackend;
     use parking_lot::Mutex;
     use std::io::{Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -108,7 +104,7 @@ mod imp {
     use std::time::{Duration, Instant};
 
     pub(super) fn maybe_wrap(t: Box<dyn Transport>) -> Box<dyn Transport> {
-        if kpn_core::exec::net_backend() != NetBackend::Reactor || t.is_event_driven() {
+        if t.is_event_driven() {
             return t;
         }
         let Some(fd) = t.raw_fd() else {
@@ -205,7 +201,8 @@ mod imp {
         /// with `retry = false` exactly once (the attempt that charges a
         /// fault-injecting transport's schedule) and with `retry = true`
         /// after each readiness wakeup — see [`Transport::retry_read`] for
-        /// why the distinction keeps chaos schedules backend-identical.
+        /// why the distinction keeps chaos schedules identical whether a
+        /// wait parks or blocks.
         fn run<T>(
             &mut self,
             interest: Interest,

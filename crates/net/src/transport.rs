@@ -54,7 +54,7 @@ pub trait Transport: Read + Write + Send {
     /// waiting for more).
     fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
     /// The raw OS file descriptor backing this transport, for readiness
-    /// registration with the reactor net backend (see `rio`). `None` when
+    /// registration with the executor's reactor (see `rio`). `None` when
     /// the transport is not socket-backed; readiness parking then
     /// degrades to thread blocking.
     fn raw_fd(&self) -> Option<i32> {
@@ -89,7 +89,7 @@ pub trait Transport: Read + Write + Send {
     /// one step) and a park-and-retry read (one charged call plus any
     /// number of retries) consume fault schedules at exactly the same op
     /// counts, which the chaos determinacy oracle compares across
-    /// backends.
+    /// executors.
     fn retry_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.read(buf)
     }
@@ -100,7 +100,7 @@ pub trait Transport: Read + Write + Send {
     /// True when waits on this transport park the calling *task* on
     /// socket readiness instead of blocking the OS thread. Endpoints skip
     /// `blocking_region` compensation around operations on such
-    /// transports — that is the whole point of the reactor backend.
+    /// transports — that is the whole point of the reactor.
     fn is_event_driven(&self) -> bool {
         false
     }
@@ -474,8 +474,8 @@ impl Transport for FaultyTransport {
     }
     fn try_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         // One fault-schedule step per attempt — the same cadence as a
-        // blocking read, so chaos plans fire at the same op counts under
-        // both net backends.
+        // blocking read, so chaos plans fire at the same op counts whether
+        // a wait parks a fiber or blocks a thread.
         self.step()?;
         self.inner.try_read(buf)
     }
@@ -875,7 +875,16 @@ mod tests {
 
     #[test]
     fn probe_wait_times_out_and_wakes() {
-        assert!(!probe_wait(Duration::from_millis(10)));
+        // Concurrent tests' reconnects notify this process-wide waker, so a
+        // wait may end early — but only if the event counter really moved.
+        let events = || *waker().events.lock();
+        let timed_out = (0..100).any(|_| {
+            let before = events();
+            let woke = probe_wait(Duration::from_millis(10));
+            assert!(!woke || events() != before, "woke with no event");
+            !woke
+        });
+        assert!(timed_out);
         let h = std::thread::spawn(|| {
             std::thread::sleep(Duration::from_millis(20));
             notify_probe();

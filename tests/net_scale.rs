@@ -1,21 +1,21 @@
-//! Reactor-backend scale soak: the whole point of the event-driven net
-//! backend (ISSUE 9 / ROADMAP) is that a blocked remote channel costs a
-//! parked fiber, not a compensated OS thread. This test opens over a
-//! thousand loopback remote channels, blocks a reader fiber on every one
-//! of them simultaneously, and asserts the process's OS thread count
-//! never rises above `workers + small constant` — where the thread
-//! backend would grow linearly (one compensation thread per blocked
-//! read; see `crates/bench/src/bin/netscale.rs` for the measured
-//! comparison recorded in `bench_results/BENCH_net.json`).
+//! Net scale soak: on the pooled executor a blocked remote channel costs
+//! a fiber parked on the pool's reactor, not a compensated OS thread.
+//! This test opens over a thousand loopback remote channels, blocks a
+//! reader fiber on every one of them simultaneously, and asserts the
+//! process's OS thread count never rises above `workers + small
+//! constant` — where thread-blocking waits would grow linearly (one
+//! compensation thread per blocked read; see
+//! `crates/bench/src/bin/netscale.rs` for the measurement recorded in
+//! `bench_results/BENCH_net.json`). Dropping the acceptor, a node and
+//! the pool afterwards must return the thread count to where it started.
 //!
-//! Reactor-only (Linux x86_64, real fibers, not Miri); the backend
-//! override is process-global, so this file holds exactly one test.
+//! Linux x86_64 only (real fibers, not Miri). The bound is on the
+//! process-wide thread count, so this file holds exactly one test.
 
 #![cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 
-use kpn::core::exec::set_net_backend;
-use kpn::core::{DataReader, DataWriter, Exec, NetBackend, PooledExec};
-use kpn::net::{remote_reader, remote_writer, Acceptor};
+use kpn::core::{DataReader, DataWriter, Exec, PooledExec};
+use kpn::net::{remote_reader, remote_writer, Acceptor, Node};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,12 +31,13 @@ fn thousand_blocked_remote_reads_stay_on_the_worker_pool() {
     const WORKERS: usize = 2;
     const SLACK: usize = 4;
 
-    set_net_backend(Some(NetBackend::Reactor));
+    let start = os_threads();
+    let node = Node::serve("127.0.0.1:0").unwrap();
     let acceptor = Acceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().to_string();
 
-    // Baseline AFTER the acceptor (its accept loop is one thread) but
-    // BEFORE the pool: the bound is baseline + workers + slack.
+    // Baseline AFTER the accept loops (one thread each) but BEFORE the
+    // pool: the bound is baseline + workers + slack.
     let baseline = os_threads();
     let ex = PooledExec::new(WORKERS);
 
@@ -56,8 +57,8 @@ fn thousand_blocked_remote_reads_stay_on_the_worker_pool() {
     // Connect one writer per channel but send nothing yet: every reader
     // fiber adopts its connection, attempts the framed read, gets
     // WouldBlock, and parks on the reactor. Sample the thread count the
-    // whole way — this connect storm is exactly when the thread backend
-    // balloons.
+    // whole way — this connect storm is exactly when thread-blocking
+    // waits would balloon.
     let mut peak = os_threads();
     let mut writers = Vec::with_capacity(CHANNELS);
     for i in 0..CHANNELS {
@@ -115,5 +116,10 @@ fn thousand_blocked_remote_reads_stay_on_the_worker_pool() {
     }
     drop(writers);
     ex.shutdown();
-    set_net_backend(None);
+    drop((acceptor, node));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while os_threads() > start {
+        assert!(Instant::now() < deadline, "threads outlived their drop");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
